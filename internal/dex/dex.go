@@ -21,9 +21,23 @@
 // for the packet's lifetime, row 0 is the engine's reserved sentinel and
 // never appears in a queue, and SetPacketState writes through to the store
 // row the view was built from.
+//
+// The outqueue policy (Schedule) and the state transitions (InitNode,
+// Update) see the resident packets as Views. The inqueue policy (Accept)
+// sees the node state, the queue occupancy, the node's own outqueue
+// decision for the step (NodeCtx.Scheduled) and the offers as OfferViews,
+// but no resident Views: it never re-runs Schedule to learn what it
+// decided.
+//
+// The adapter reads coordinates, outlinks and profitable sets from a node
+// table it builds once per run (8 bytes per node: a packed coordinate and
+// the memo of the step's Schedule decision), not from the topology's
+// division-based methods; the two agree exactly.
 package dex
 
 import (
+	"slices"
+
 	"meshroute/internal/grid"
 	"meshroute/internal/sim"
 )
@@ -72,6 +86,12 @@ type OfferView struct {
 // NodeCtx is the per-node context handed to policies. Policies may read
 // everything and may mutate State, Extra and packet states (via SetPacket-
 // State); they must not retain the context beyond the call.
+//
+// InitNode, Schedule and Update see the resident packets as Views. Accept
+// sees the node state, the queue occupancy, the outlinks, its own outqueue
+// decision for the step (Scheduled) and the offers, but no Views: an
+// inqueue policy decides from occupancy and offers, and whatever it needs
+// of the residents it already decided in Schedule.
 type NodeCtx struct {
 	// ID is the node identifier.
 	ID grid.NodeID
@@ -87,7 +107,8 @@ type NodeCtx struct {
 	State *uint64
 	// Extra is the node's rich state; mutate freely.
 	Extra *interface{}
-	// Views describes the resident packets, in queue (FIFO) order.
+	// Views describes the resident packets, in queue (FIFO) order. It is
+	// empty in Accept.
 	Views []View
 	// Outlinks is the set of outlinks that exist at this node.
 	Outlinks grid.DirSet
@@ -99,6 +120,11 @@ type NodeCtx struct {
 	Up grid.DirSet
 	// QueueLens holds the current occupancy of each queue tag.
 	QueueLens [5]int
+	// Scheduled is set only in Accept: the outlinks on which this node's
+	// Schedule placed a packet in the current step, as the policy returned
+	// them (before the engine drops sends on failed links). It is empty
+	// when the node did not schedule this step (it held no packets).
+	Scheduled grid.DirSet
 
 	net  *sim.Network
 	pids []sim.PacketID
@@ -125,7 +151,8 @@ type Policy interface {
 	// Accept is the inqueue policy: accept[i] reports whether offers[i]
 	// is admitted. accept arrives with len(offers) entries, all false;
 	// the policy sets the entries it admits. It must never overflow a
-	// queue.
+	// queue. The context carries the node state, QueueLens, Outlinks, Up
+	// and the node's own outqueue decision (Scheduled), but no Views.
 	Accept(c *NodeCtx, offers []OfferView, accept []bool)
 	// Update is the end-of-step state transition.
 	Update(c *NodeCtx)
@@ -137,50 +164,63 @@ type Adapter struct {
 	// P is the wrapped policy.
 	P Policy
 
+	t        *table
 	ctx      NodeCtx
 	offerBuf []OfferView
 	viewBuf  []View
 }
 
 // NewAdapter wraps a policy for use with the sim engine.
-func NewAdapter(p Policy) *Adapter { return &Adapter{P: p} }
+func NewAdapter(p Policy) *Adapter { return &Adapter{P: p, t: new(table)} }
 
 // Name returns the wrapped policy's name.
 func (a *Adapter) Name() string { return a.P.Name() }
 
-func (a *Adapter) fill(net *sim.Network, n *sim.Node) *NodeCtx {
+// Prepare implements sim.Preparer: it builds the node table for net. The
+// adapter also builds it on first use, for callers (such as wrappers that
+// hide Prepare) that drive it serially.
+func (a *Adapter) Prepare(net *sim.Network) { a.t.build(net) }
+
+// fill sets up the shared context for node n; with views it also builds the
+// resident packets' Views.
+func (a *Adapter) fill(net *sim.Network, n *sim.Node, views bool) *NodeCtx {
+	t := a.t
+	if t.net != net {
+		t.build(net)
+	}
 	c := &a.ctx
+	xy := t.xy[n.ID]
 	c.ID = n.ID
-	c.Coord = net.Topo.CoordOf(n.ID)
+	c.Coord = t.coord(xy)
 	c.Step = net.Step()
 	c.K = net.K
 	c.Queues = net.Queues
 	c.State = &n.State
 	c.Extra = &n.Extra
 	c.net = net
-	c.pids = net.PacketsOf(n)
-	c.Outlinks = 0
-	for d := grid.Dir(0); d < grid.NumDirs; d++ {
-		if _, ok := net.Topo.Neighbor(n.ID, d); ok {
-			c.Outlinks = c.Outlinks.Set(d)
-		}
-	}
+	c.Outlinks = t.outlinks(xy)
 	c.Up = c.Outlinks &^ net.DownOutlinks(n.ID)
 	for tag := uint8(0); tag < 5; tag++ {
 		c.QueueLens[tag] = n.QueueLen(tag)
 	}
+	c.Scheduled = 0
+	c.Views, c.pids = nil, nil
+	if !views {
+		return c
+	}
+	c.pids = net.PacketsOf(n)
 	st := &net.P
-	a.viewBuf = a.viewBuf[:0]
+	a.viewBuf = slices.Grow(a.viewBuf[:0], len(c.pids))[:len(c.pids)]
 	for i, p := range c.pids {
-		a.viewBuf = append(a.viewBuf, View{
+		a.viewBuf[i] = View{
 			Index:       i,
 			Source:      st.Src[p],
 			State:       st.State[p],
 			Arrived:     st.Arrived[p],
 			ArrivedStep: int(st.ArrivedStep[p]),
 			QTag:        st.QTag[p],
-			Profitable:  net.Topo.Profitable(n.ID, st.Dst[p]),
-		})
+			Profitable:  t.profitable(xy, st.Dst[p]),
+		}
 	}
 	c.Views = a.viewBuf
 	return c
@@ -188,17 +228,34 @@ func (a *Adapter) fill(net *sim.Network, n *sim.Node) *NodeCtx {
 
 // InitNode implements sim.Algorithm.
 func (a *Adapter) InitNode(net *sim.Network, n *sim.Node) {
-	a.P.InitNode(a.fill(net, n))
+	a.P.InitNode(a.fill(net, n, true))
 }
 
-// Schedule implements sim.Algorithm.
+// Schedule implements sim.Algorithm. It records the decision in the node
+// table for the same node's Accept in this step.
 func (a *Adapter) Schedule(net *sim.Network, n *sim.Node) [grid.NumDirs]int {
-	return a.P.Schedule(a.fill(net, n))
+	c := a.fill(net, n, true)
+	sched := a.P.Schedule(c)
+	var set grid.DirSet
+	for d, i := range sched {
+		if i >= 0 {
+			set = set.Set(grid.Dir(d))
+		}
+	}
+	a.t.memo[n.ID] = stamp(c.Step) | uint32(set)
+	return sched
 }
 
 // Accept implements sim.Algorithm.
 func (a *Adapter) Accept(net *sim.Network, n *sim.Node, offers []sim.Offer, accept []bool) {
-	c := a.fill(net, n)
+	c := a.fill(net, n, false)
+	t := a.t
+	// The stamp is the step modulo 2^28. An entry that old could alias the
+	// current step only at a node that did not schedule, that is, one that
+	// held no packets at part (a) and so holds none now.
+	if m := t.memo[n.ID]; m&^memoSet == stamp(c.Step) && n.Len() > 0 {
+		c.Scheduled = grid.DirSet(m & memoSet)
+	}
 	st := &net.P
 	a.offerBuf = a.offerBuf[:0]
 	for _, o := range offers {
@@ -207,7 +264,7 @@ func (a *Adapter) Accept(net *sim.Network, n *sim.Node, offers []sim.Offer, acce
 			Travel:     o.Travel,
 			Source:     st.Src[o.P],
 			State:      st.State[o.P],
-			Profitable: net.Topo.Profitable(o.From, st.Dst[o.P]),
+			Profitable: t.profitable(t.xy[o.From], st.Dst[o.P]),
 		})
 	}
 	a.P.Accept(c, a.offerBuf, accept)
@@ -215,18 +272,22 @@ func (a *Adapter) Accept(net *sim.Network, n *sim.Node, offers []sim.Offer, acce
 
 // Update implements sim.Algorithm.
 func (a *Adapter) Update(net *sim.Network, n *sim.Node) {
-	a.P.Update(a.fill(net, n))
+	a.P.Update(a.fill(net, n, true))
 }
 
 // CloneForWorker implements sim.ParallelCloner: each worker gets a fresh
-// adapter (private ctx and view buffers) around the same policy. This is
-// safe exactly when the policy itself is node-local, which the dex model
-// requires of Schedule and Update (per scheduling node) and of Accept
-// (per target node — clones drive Accept on disjoint target shards in
-// the pipeline's dispatch phase).
-func (a *Adapter) CloneForWorker() sim.Algorithm { return NewAdapter(a.P) }
+// adapter (private ctx and view buffers) around the same policy and the
+// same node table. The engine prepares the table before it clones, and
+// clones share it safely: the coordinates are read-only, and a node's memo
+// entry is written by the worker scheduling that node and read only after
+// the barrier that ends the schedule phase. Sharing the policy is safe
+// exactly when it is node-local, which the dex model requires of Schedule
+// and Update (per scheduling node) and of Accept (per target node — clones
+// drive Accept on disjoint target shards in the pipeline's dispatch phase).
+func (a *Adapter) CloneForWorker() sim.Algorithm { return &Adapter{P: a.P, t: a.t} }
 
 var (
 	_ sim.Algorithm      = (*Adapter)(nil)
 	_ sim.ParallelCloner = (*Adapter)(nil)
+	_ sim.Preparer       = (*Adapter)(nil)
 )

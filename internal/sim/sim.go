@@ -302,6 +302,15 @@ type ParallelCloner interface {
 	CloneForWorker() Algorithm
 }
 
+// Preparer is implemented by algorithms that build per-run tables from the
+// network they drive. The engine calls Prepare serially before the first
+// InitNode of a run and again before it creates CloneForWorker clones, so
+// clones may share whatever Prepare built. Prepare must be idempotent for a
+// given network.
+type Preparer interface {
+	Prepare(net *Network)
+}
+
 // Config configures a Network.
 type Config struct {
 	// Topo is the mesh or torus.

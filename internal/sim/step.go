@@ -85,11 +85,12 @@ func (net *Network) run(ctx context.Context, alg Algorithm, maxSteps int, allowP
 	return net.step - start, nil
 }
 
-// arrival is one accepted transmission being applied in part (d).
+// arrival is one accepted transmission being applied in part (d): packet
+// p moves from node from to node to, travelling in direction dir.
 type arrival struct {
-	p   PacketID
-	to  grid.NodeID
-	dir grid.Dir
+	p        PacketID
+	from, to grid.NodeID
+	dir      grid.Dir
 }
 
 // StepOnce executes one synchronous step: outqueue scheduling, adversary
@@ -102,6 +103,9 @@ type arrival struct {
 // region has reached its peak occupancy.
 func (net *Network) StepOnce(alg Algorithm) error {
 	if !net.inited {
+		if p, ok := alg.(Preparer); ok {
+			p.Prepare(net)
+		}
 		net.compactOcc()
 		for _, id := range net.occ {
 			alg.InitNode(net, &net.nodes[id])
@@ -121,6 +125,7 @@ func (net *Network) StepOnce(alg Algorithm) error {
 	s := &net.scratch
 	st := &net.P
 	s.bumpStamp()
+	resident := net.total - net.delivered - net.backlogTotal - net.pendingTotal
 
 	// Part (a): outqueue policies schedule packets. Stalled nodes are
 	// frozen: they schedule nothing (and below, accept nothing). With
@@ -137,7 +142,6 @@ func (net *Network) StepOnce(alg Algorithm) error {
 	if clones == nil {
 		moves, drops, err = net.scheduleNodes(alg, net.occ, s.moves[:0])
 	} else {
-		resident := net.total - net.delivered - net.backlogTotal - net.pendingTotal
 		balanceBounds(s.occBounds, len(net.occ), resident, len(clones), func(i int) int {
 			return int(net.nodes[net.occ[i]].qLen)
 		})
@@ -186,7 +190,13 @@ func (net *Network) StepOnce(alg Algorithm) error {
 	// region of the flat offers slice, and pass 2 fills the regions in move
 	// order — so both the target order and the per-target offer order match
 	// the map-based grouping this replaces.
+	//
+	// No packet moves twice in a step, so one arrival per resident packet
+	// always suffices: a one-shot run sizes the buffer once, at step 1.
 	arrivals := s.arrivals[:0]
+	if cap(arrivals) < resident {
+		arrivals = make([]arrival, 0, max(resident, 2*cap(arrivals)))
+	}
 	targets := s.targets[:0]
 	nOffers := 0
 	for i := range moves {
@@ -198,7 +208,7 @@ func (net *Network) StepOnce(alg Algorithm) error {
 			continue
 		}
 		if m.To == st.Dst[m.P] {
-			arrivals = append(arrivals, arrival{p: m.P, to: m.To, dir: m.Travel})
+			arrivals = append(arrivals, arrival{p: m.P, from: m.From, to: m.To, dir: m.Travel})
 			continue
 		}
 		if s.offMark[m.To] != s.stamp {
@@ -326,8 +336,7 @@ func (net *Network) StepOnce(alg Algorithm) error {
 		recMoves := s.recMoves[:0]
 		recDelivered := s.recDelivered[:0]
 		for _, a := range arrivals {
-			src, _ := net.Topo.Neighbor(a.to, a.dir.Opposite())
-			recMoves = append(recMoves, Move{P: a.p, From: src, To: a.to, Travel: a.dir})
+			recMoves = append(recMoves, Move{P: a.p, From: a.from, To: a.to, Travel: a.dir})
 			if st.DeliverStep[a.p] == int32(t) {
 				recDelivered = append(recDelivered, a.p.ID())
 			}
@@ -444,7 +453,7 @@ func (net *Network) acceptTargets(alg Algorithm, targets []grid.NodeID, acceptBu
 		alg.Accept(net, &net.nodes[to], offs, acc)
 		for i, ok := range acc {
 			if ok {
-				dst = append(dst, arrival{p: offs[i].P, to: to, dir: offs[i].Travel})
+				dst = append(dst, arrival{p: offs[i].P, from: offs[i].From, to: to, dir: offs[i].Travel})
 			}
 		}
 	}
@@ -460,9 +469,8 @@ func (net *Network) markDepartures(arrivals []arrival) error {
 	st := &net.P
 	senders := s.senders[:0]
 	for _, a := range arrivals {
-		p := a.p
-		src, ok := net.Topo.Neighbor(a.to, a.dir.Opposite())
-		if !ok || st.At[p] != src {
+		p, src := a.p, a.from
+		if st.At[p] != src {
 			return fmt.Errorf("sim: internal error, packet %d not found at sender", p.ID())
 		}
 		node := &net.nodes[src]
@@ -587,6 +595,9 @@ func (net *Network) workerClones(alg Algorithm) []Algorithm {
 		return nil
 	}
 	if net.parName != alg.Name() || len(net.parClones) != w {
+		if p, ok := alg.(Preparer); ok {
+			p.Prepare(net)
+		}
 		net.parClones = net.parClones[:0]
 		for i := 0; i < w; i++ {
 			net.parClones = append(net.parClones, pc.CloneForWorker())

@@ -311,7 +311,11 @@ func RouteCLT(n int, perm *Permutation, opts CLTOptions) (*CLTResult, error) {
 
 // NewDexAdapter lifts a dex.Policy into an Algorithm. It is exposed so
 // custom destination-exchangeable policies written against the dex
-// framework can run on the public engine.
+// framework can run on the public engine. The policy's Schedule, InitNode
+// and Update see the resident packets as views without destinations; its
+// Accept sees the node state, the queue occupancy, its own outqueue
+// decision for the step (NodeCtx.Scheduled) and the offers, but no
+// resident views.
 func NewDexAdapter(p dex.Policy) Algorithm { return dex.NewAdapter(p) }
 
 // Adversary constructions, re-exported for direct use.

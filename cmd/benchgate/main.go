@@ -8,11 +8,7 @@
 //     current run (the stricter form: sub-one-per-op allocations round to
 //     0 allocs/op but still show up as bytes), or
 //   - any benchmark present in both files regressed its best (minimum)
-//     ns/op by more than -max-regress percent, or
-//   - the parallel step pipeline stopped scaling: the -scale-w benchmark's
-//     best ns/op exceeds -scale-ratio times the -scale-base benchmark's
-//     (skipped, with a note, when GOMAXPROCS < -scale-min-procs — a
-//     single-core runner cannot demonstrate speedup).
+//     ns/op by more than -max-regress percent.
 //
 // With -count > 1 the best iteration is compared, which suppresses
 // scheduling noise: a real regression slows every iteration, while noise
@@ -32,30 +28,26 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 )
 
-// stepTorusCells names every (n, w) cell of the StepTorus scaling matrix:
-// the full set is required to run at 0 B/op and 0 allocs/op (the persistent
-// pipeline's steady-state contract at any worker count).
-const stepTorusCells = "BenchmarkStepTorus/n64/w1,BenchmarkStepTorus/n64/w2,BenchmarkStepTorus/n64/w4,BenchmarkStepTorus/n64/w8," +
-	"BenchmarkStepTorus/n256/w1,BenchmarkStepTorus/n256/w2,BenchmarkStepTorus/n256/w4,BenchmarkStepTorus/n256/w8," +
-	"BenchmarkStepTorus/n1024/w1,BenchmarkStepTorus/n1024/w2,BenchmarkStepTorus/n1024/w4,BenchmarkStepTorus/n1024/w8"
+// stepTorusCells names every size cell of the StepTorus series: the full
+// set is required to run at 0 B/op and 0 allocs/op (the engine's
+// steady-state contract at every size).
+const stepTorusCells = "BenchmarkStepTorus/n64/w1,BenchmarkStepTorus/n256/w1,BenchmarkStepTorus/n1024/w1"
 
-// stepOnlineCells names every worker cell of the StepOnline streaming-
-// injection matrix: the per-step admission phase (source pull, bounded-
-// buffer admission, backlog drain) must also hold the zero-alloc contract
-// at every worker count.
-const stepOnlineCells = "BenchmarkStepOnline/n64/w1,BenchmarkStepOnline/n64/w2,BenchmarkStepOnline/n64/w4,BenchmarkStepOnline/n64/w8"
+// stepOnlineCells names the StepOnline streaming-injection cell: the
+// per-step admission phase (source pull, bounded-buffer admission, backlog
+// drain) must also hold the zero-alloc contract.
+const stepOnlineCells = "BenchmarkStepOnline/n64/w1"
 
-// stepOnlineAnalyzedCells names the StepOnline cells that run with the
+// stepOnlineAnalyzedCells names the StepOnline cell that runs with the
 // congestion/dilation accumulator attached (internal/analysis): the
 // analyzer's admission hook must stay allocation-free, so analysis is
 // pay-for-play in CPU only — and with the analyzer absent (all other
 // gated cells) the hook is one nil check.
-const stepOnlineAnalyzedCells = "BenchmarkStepOnlineAnalyzed/n64/w1,BenchmarkStepOnlineAnalyzed/n64/w4"
+const stepOnlineAnalyzedCells = "BenchmarkStepOnlineAnalyzed/n64/w1"
 
 // result is the aggregated outcome of one benchmark across -count runs.
 type result struct {
@@ -126,32 +118,12 @@ func parseBench(path string) (map[string]*result, error) {
 	return out, nil
 }
 
-// checkScaling is the scaling-gate comparison: the parallel benchmark's
-// best ns/op must not exceed ratio × the reference benchmark's. The
-// GOMAXPROCS skip is decided by the caller; this sees only the numbers.
-func checkScaling(cur map[string]*result, base, w string, ratio float64) error {
-	b, okB := cur[base]
-	p, okW := cur[w]
-	if !okB || !okW || b.bestNs <= 0 {
-		return fmt.Errorf("scaling gate: %s or %s missing from current run", base, w)
-	}
-	if p.bestNs > b.bestNs*ratio {
-		return fmt.Errorf("scaling gate: %s best %.0f ns/op > %.2f × %s best %.0f ns/op",
-			w, p.bestNs, ratio, base, b.bestNs)
-	}
-	return nil
-}
-
 func main() {
 	baseline := flag.String("baseline", "out/BENCH_BASELINE.txt", "committed baseline `go test -bench` output")
 	current := flag.String("current", "", "current `go test -bench` output (required)")
 	maxRegress := flag.Float64("max-regress", 10, "max allowed ns/op regression, percent")
 	zeroAlloc := flag.String("zero-alloc", "BenchmarkStepDenseNilSink,"+stepTorusCells+","+stepOnlineCells+","+stepOnlineAnalyzedCells, "comma-separated benchmarks required to report 0 allocs/op")
 	zeroBytes := flag.String("zero-bytes", stepTorusCells+","+stepOnlineCells+","+stepOnlineAnalyzedCells, "comma-separated benchmarks required to report 0 B/op")
-	scaleBase := flag.String("scale-base", "BenchmarkStepTorus/n1024/w1", "scaling-gate reference benchmark")
-	scaleW := flag.String("scale-w", "BenchmarkStepTorus/n1024/w4", "scaling-gate parallel benchmark")
-	scaleRatio := flag.Float64("scale-ratio", 0.75, "max allowed scale-w ns/op as a fraction of scale-base (0 disables)")
-	scaleMinProcs := flag.Int("scale-min-procs", 4, "skip the scaling gate below this GOMAXPROCS")
 	flag.Parse()
 	if *current == "" {
 		fmt.Fprintln(os.Stderr, "benchgate: -current is required")
@@ -200,22 +172,6 @@ func main() {
 			failed = true
 		default:
 			fmt.Printf("ok   %s: 0 B/op\n", name)
-		}
-	}
-	if *scaleRatio > 0 {
-		switch {
-		case runtime.GOMAXPROCS(0) < *scaleMinProcs:
-			fmt.Printf("skip scaling gate: GOMAXPROCS=%d < %d (cannot demonstrate parallel speedup)\n",
-				runtime.GOMAXPROCS(0), *scaleMinProcs)
-		default:
-			if err := checkScaling(cur, *scaleBase, *scaleW, *scaleRatio); err != nil {
-				fmt.Fprintf(os.Stderr, "FAIL %v\n", err)
-				failed = true
-			} else {
-				b, w := cur[*scaleBase], cur[*scaleW]
-				fmt.Printf("ok   scaling gate: %s best %.0f ns/op ≤ %.2f × %s best %.0f ns/op (ratio %.2f)\n",
-					*scaleW, w.bestNs, *scaleRatio, *scaleBase, b.bestNs, w.bestNs/b.bestNs)
-			}
 		}
 	}
 	for name, b := range base {

@@ -69,7 +69,6 @@ func main() {
 		server        = flag.String("server", "http://127.0.0.1:8421", "meshrouted base URL for -submit")
 		submitTimeout = flag.Duration("submit-timeout", 2*time.Minute, "overall budget for -submit, including retries on transient errors (0 = no limit)")
 		routerSeed    = flag.Uint64("router-seed", 0, "seed for a randomized router's decisions (rand-zigzag; 0 = default stream)")
-		workers       = flag.Int("workers", 0, "engine worker count for intra-step parallel scheduling (0 = serial)")
 		analyze       = flag.Bool("analyze", false, "compute the workload's congestion C and dilation D and report makespan/(C+D) (see docs/ANALYSIS.md)")
 
 		faultSeed   = flag.Int64("fault-seed", 1, "fault schedule seed")
@@ -104,7 +103,7 @@ func main() {
 		traceFile: *traceFile, metricsOut: *metricsOut,
 		scenarioFile: *scenarioFile, dumpScenario: *dumpScenario,
 		submitFile: *submitFile, server: *server, submitTimeout: *submitTimeout,
-		routerSeed: *routerSeed, workers: *workers, analyze: *analyze,
+		routerSeed: *routerSeed, analyze: *analyze,
 		faultSeed: *faultSeed, faultLinks: *faultLinks, faultDown: *faultDown,
 		faultPerm: *faultPerm, faultStalls: *faultStalls, faultStall: *faultStall,
 		faultHoriz: *faultHoriz, faultAware: *faultAware, watchdog: *watchdog,
@@ -156,7 +155,6 @@ type cliOptions struct {
 	submitFile, server      string
 	submitTimeout           time.Duration
 	routerSeed              uint64
-	workers                 int
 	analyze                 bool
 	faultSeed               int64
 	faultLinks, faultStalls int
@@ -176,7 +174,6 @@ func (o cliOptions) spec() (*scenario.Spec, error) {
 		FaultAware: o.faultAware,
 		Seed:       o.routerSeed,
 		Watchdog:   o.watchdog,
-		Workers:    o.workers,
 		MaxSteps:   o.maxSteps,
 		MetricsOut: o.metricsOut,
 		TraceOut:   o.traceFile,

@@ -72,14 +72,12 @@ func loadScenarios(t *testing.T) []*scenario.Spec {
 	return specs
 }
 
-// runScenario builds and executes one spec with the given engine worker
-// count (0 = serial) and returns the finished network for digesting.
-// Scenarios must be deterministic and must not abort.
-func runScenario(t *testing.T, spec *scenario.Spec, workers int) *sim.Network {
+// runScenario builds and executes one spec and returns the finished
+// network for digesting. Scenarios must be deterministic and must not
+// abort.
+func runScenario(t *testing.T, spec *scenario.Spec) *sim.Network {
 	t.Helper()
-	s := *spec // the Workers override must not leak across subtests
-	s.Workers = workers
-	run, err := s.Build()
+	run, err := spec.Build()
 	if err != nil {
 		t.Fatalf("%s: %v", spec.Name, err)
 	}
@@ -138,7 +136,7 @@ func TestEngineGoldenDigests(t *testing.T) {
 			if undigestedScenarios[spec.Name] {
 				continue
 			}
-			out[spec.Name] = digestNet(runScenario(t, spec, 0))
+			out[spec.Name] = digestNet(runScenario(t, spec))
 		}
 		data, err := json.MarshalIndent(out, "", "  ")
 		if err != nil {
@@ -169,44 +167,14 @@ func TestEngineGoldenDigests(t *testing.T) {
 			want, ok := pinned[spec.Name]
 			if !ok {
 				if undigestedScenarios[spec.Name] {
-					runScenario(t, spec, 0) // must still execute cleanly
+					runScenario(t, spec) // must still execute cleanly
 					return
 				}
 				t.Fatalf("no pinned digest for %s (regenerate with -update-engine-digests)", spec.Name)
 			}
-			if got := digestNet(runScenario(t, spec, 0)); got != want {
+			if got := digestNet(runScenario(t, spec)); got != want {
 				t.Fatalf("digest %s != pinned %s: engine behavior changed", got, want)
 			}
 		})
-	}
-}
-
-// TestEngineGoldenDigestsParallel asserts that Workers > 1 reproduces the
-// same pinned digests bit for bit: parallel scheduling must be invisible in
-// every per-packet outcome. Scenarios whose algorithm does not implement
-// sim.ParallelCloner silently run serial, which trivially matches — that is
-// the documented Config.Workers contract, so they stay in the sweep.
-func TestEngineGoldenDigestsParallel(t *testing.T) {
-	if *updateDigests {
-		t.Skip("digest update runs serial")
-	}
-	pinned := loadDigests(t)
-	specs := loadScenarios(t)
-	for _, workers := range []int{2, 4, 8} {
-		for _, spec := range specs {
-			if undigestedScenarios[spec.Name] {
-				continue
-			}
-			spec, workers := spec, workers
-			t.Run(fmt.Sprintf("%s-w%d", spec.Name, workers), func(t *testing.T) {
-				want, ok := pinned[spec.Name]
-				if !ok {
-					t.Fatalf("no pinned digest for %s", spec.Name)
-				}
-				if got := digestNet(runScenario(t, spec, workers)); got != want {
-					t.Fatalf("workers=%d digest %s != serial pinned %s", workers, got, want)
-				}
-			})
-		}
 	}
 }

@@ -164,27 +164,27 @@ type Adapter struct {
 	// P is the wrapped policy.
 	P Policy
 
-	t        *table
+	t        table
 	ctx      NodeCtx
 	offerBuf []OfferView
 	viewBuf  []View
 }
 
 // NewAdapter wraps a policy for use with the sim engine.
-func NewAdapter(p Policy) *Adapter { return &Adapter{P: p, t: new(table)} }
+func NewAdapter(p Policy) *Adapter { return &Adapter{P: p} }
 
 // Name returns the wrapped policy's name.
 func (a *Adapter) Name() string { return a.P.Name() }
 
 // Prepare implements sim.Preparer: it builds the node table for net. The
 // adapter also builds it on first use, for callers (such as wrappers that
-// hide Prepare) that drive it serially.
+// hide Prepare) that never call it.
 func (a *Adapter) Prepare(net *sim.Network) { a.t.build(net) }
 
 // fill sets up the shared context for node n; with views it also builds the
 // resident packets' Views.
 func (a *Adapter) fill(net *sim.Network, n *sim.Node, views bool) *NodeCtx {
-	t := a.t
+	t := &a.t
 	if t.net != net {
 		t.build(net)
 	}
@@ -249,7 +249,7 @@ func (a *Adapter) Schedule(net *sim.Network, n *sim.Node) [grid.NumDirs]int {
 // Accept implements sim.Algorithm.
 func (a *Adapter) Accept(net *sim.Network, n *sim.Node, offers []sim.Offer, accept []bool) {
 	c := a.fill(net, n, false)
-	t := a.t
+	t := &a.t
 	// The stamp is the step modulo 2^28. An entry that old could alias the
 	// current step only at a node that did not schedule, that is, one that
 	// held no packets at part (a) and so holds none now.
@@ -275,19 +275,7 @@ func (a *Adapter) Update(net *sim.Network, n *sim.Node) {
 	a.P.Update(a.fill(net, n, true))
 }
 
-// CloneForWorker implements sim.ParallelCloner: each worker gets a fresh
-// adapter (private ctx and view buffers) around the same policy and the
-// same node table. The engine prepares the table before it clones, and
-// clones share it safely: the coordinates are read-only, and a node's memo
-// entry is written by the worker scheduling that node and read only after
-// the barrier that ends the schedule phase. Sharing the policy is safe
-// exactly when it is node-local, which the dex model requires of Schedule
-// and Update (per scheduling node) and of Accept (per target node — clones
-// drive Accept on disjoint target shards in the pipeline's dispatch phase).
-func (a *Adapter) CloneForWorker() sim.Algorithm { return &Adapter{P: a.P, t: a.t} }
-
 var (
-	_ sim.Algorithm      = (*Adapter)(nil)
-	_ sim.ParallelCloner = (*Adapter)(nil)
-	_ sim.Preparer       = (*Adapter)(nil)
+	_ sim.Algorithm = (*Adapter)(nil)
+	_ sim.Preparer  = (*Adapter)(nil)
 )

@@ -1,8 +1,6 @@
 package dex
 
 import (
-	"fmt"
-	"sync"
 	"testing"
 
 	"meshroute/internal/fault"
@@ -20,11 +18,9 @@ type nodeStep struct {
 // schedSpy is a minimal FIFO policy with the swap-rule inqueue policy. It
 // records what each node's Schedule returned, and checks in Accept that
 // NodeCtx.Scheduled equals that node's decision in the same step, or is
-// empty when the node did not schedule. Worker clones share one spy, so
-// the records sit behind a mutex.
+// empty when the node did not schedule.
 type schedSpy struct {
-	t  *testing.T
-	mu sync.Mutex
+	t *testing.T
 	// sched holds the directions each node's Schedule filled, per step.
 	sched map[nodeStep]grid.DirSet
 	// last is the last step each node scheduled in.
@@ -57,16 +53,13 @@ func (s *schedSpy) Schedule(c *NodeCtx) [grid.NumDirs]int {
 			}
 		}
 	}
-	s.mu.Lock()
 	s.sched[nodeStep{c.Step, c.ID}] = set
 	s.last[c.ID] = c.Step
-	s.mu.Unlock()
 	return sched
 }
 
 func (s *schedSpy) Accept(c *NodeCtx, offers []OfferView, acc []bool) {
 	key := nodeStep{c.Step, c.ID}
-	s.mu.Lock()
 	want, scheduled := s.sched[key]
 	if !scheduled && s.last[c.ID] > 0 {
 		s.stale++
@@ -78,7 +71,6 @@ func (s *schedSpy) Accept(c *NodeCtx, offers []OfferView, acc []bool) {
 		s.downLink++
 	}
 	s.accepts = append(s.accepts, key)
-	s.mu.Unlock()
 	if c.Scheduled != want {
 		s.t.Errorf("step %d node %v: Scheduled = %v, Schedule returned %v (scheduled this step: %v)",
 			c.Step, c.Coord, c.Scheduled, want, scheduled)
@@ -98,61 +90,55 @@ func (s *schedSpy) Accept(c *NodeCtx, offers []OfferView, acc []bool) {
 }
 
 // TestAcceptScheduledExactAndFresh checks NodeCtx.Scheduled against the
-// node's own Schedule output on every Accept call, serially and through
-// the parallel pipeline, under fault schedules with link failures and node
-// stalls. The run must exercise the cases where a stale memo would show:
-// targets that scheduled in an earlier step but were empty at part (a),
-// and targets just released from a stall.
+// node's own Schedule output on every Accept call, under fault schedules
+// with link failures and node stalls. The run must exercise the cases
+// where a stale memo would show: targets that scheduled in an earlier step
+// but were empty at part (a), and targets just released from a stall.
 func TestAcceptScheduledExactAndFresh(t *testing.T) {
 	const n = 8
 	topo := grid.NewSquareMesh(n)
-	for _, workers := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
-			var nonEmpty, stale, downLink, postStall int
-			for seed := int64(1); seed <= 6; seed++ {
-				faults, err := fault.Generate(topo, fault.Config{
-					Seed: seed, Horizon: 15,
-					LinkFailures: 8, MeanDownSteps: 6,
-					NodeStalls: 12, MeanStallSteps: 3,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				net := sim.MustNew(sim.Config{
-					Topo: topo, K: 2, Queues: sim.CentralQueue,
-					RequireMinimal: true, CheckInvariants: true,
-					Faults: faults, Workers: workers,
-				})
-				if err := workload.Random(topo, seed).Place(net); err != nil {
-					t.Fatal(err)
-				}
-				spy := newSchedSpy(t)
-				alg := NewAdapter(spy)
-				stalled := map[nodeStep]bool{}
-				for i := 0; i < 200 && !net.Done(); i++ {
-					// One step per call, so the pool stops between steps.
-					if _, err := net.RunPartial(alg, 1); err != nil {
-						t.Fatal(err)
-					}
-					for id := grid.NodeID(0); int(id) < topo.N(); id++ {
-						if net.Stalled(id) {
-							stalled[nodeStep{net.Step(), id}] = true
-						}
-					}
-				}
-				for _, a := range spy.accepts {
-					if stalled[nodeStep{a.step - 1, a.node}] {
-						postStall++
-					}
-				}
-				nonEmpty += spy.nonEmpty
-				stale += spy.stale
-				downLink += spy.downLink
-			}
-			if nonEmpty == 0 || stale == 0 || downLink == 0 || postStall == 0 {
-				t.Fatalf("cases not exercised: nonempty %d, empty-at-(a) after an earlier schedule %d, "+
-					"failed scheduled outlink %d, just after a stall %d", nonEmpty, stale, downLink, postStall)
-			}
+	var nonEmpty, stale, downLink, postStall int
+	for seed := int64(1); seed <= 6; seed++ {
+		faults, err := fault.Generate(topo, fault.Config{
+			Seed: seed, Horizon: 15,
+			LinkFailures: 8, MeanDownSteps: 6,
+			NodeStalls: 12, MeanStallSteps: 3,
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		net := sim.MustNew(sim.Config{
+			Topo: topo, K: 2, Queues: sim.CentralQueue,
+			RequireMinimal: true, CheckInvariants: true,
+			Faults: faults,
+		})
+		if err := workload.Random(topo, seed).Place(net); err != nil {
+			t.Fatal(err)
+		}
+		spy := newSchedSpy(t)
+		alg := NewAdapter(spy)
+		stalled := map[nodeStep]bool{}
+		for i := 0; i < 200 && !net.Done(); i++ {
+			if _, err := net.RunPartial(alg, 1); err != nil {
+				t.Fatal(err)
+			}
+			for id := grid.NodeID(0); int(id) < topo.N(); id++ {
+				if net.Stalled(id) {
+					stalled[nodeStep{net.Step(), id}] = true
+				}
+			}
+		}
+		for _, a := range spy.accepts {
+			if stalled[nodeStep{a.step - 1, a.node}] {
+				postStall++
+			}
+		}
+		nonEmpty += spy.nonEmpty
+		stale += spy.stale
+		downLink += spy.downLink
+	}
+	if nonEmpty == 0 || stale == 0 || downLink == 0 || postStall == 0 {
+		t.Fatalf("cases not exercised: nonempty %d, empty-at-(a) after an earlier schedule %d, "+
+			"failed scheduled outlink %d, just after a stall %d", nonEmpty, stale, downLink, postStall)
 	}
 }

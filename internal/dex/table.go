@@ -7,11 +7,10 @@ import (
 	"meshroute/internal/sim"
 )
 
-// table is the per-run node table an adapter shares with its worker
-// clones, 8 bytes per node: each node's packed coordinate, from which the
-// adapter derives outlinks and profitable sets with comparisons instead of
-// the topology's divisions, and a memo of the node's outqueue decision in
-// the current step.
+// table is an adapter's per-run node table, 8 bytes per node: each node's
+// packed coordinate, from which the adapter derives outlinks and profitable
+// sets with comparisons instead of the topology's divisions, and a memo of
+// the node's outqueue decision in the current step.
 type table struct {
 	net   *sim.Network
 	w, h  int32
@@ -35,8 +34,7 @@ const memoSet = 1<<grid.NumDirs - 1
 func stamp(step int) uint32 { return uint32(step) << grid.NumDirs }
 
 // build fills the table for net, reusing its slices when they are large
-// enough, and clears the memo. It runs serially, before any worker clone
-// reads the table.
+// enough, and clears the memo.
 func (t *table) build(net *sim.Network) {
 	if t.net == net {
 		return

@@ -7,10 +7,8 @@
 // This is cell-level parallelism — whole networks run concurrently and
 // never share state, so no PacketID or node index ever crosses a cell
 // boundary and workers need no synchronization beyond the pool itself. It
-// is distinct from, and composes with, the engine's own intra-step
-// sharding (sim.Config.Workers / sim.ParallelCloner), which splits one
-// network's node range across clones of a single algorithm; see
-// docs/SCALING.md for when to use which.
+// is the only parallelism in the repository: the engine steps each
+// network serially (see docs/SCALING.md).
 package par
 
 import (

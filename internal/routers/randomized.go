@@ -101,8 +101,3 @@ func (r RandZigZag) Accept(net *sim.Network, n *sim.Node, offers []sim.Offer, ac
 		}
 	}
 }
-
-// CloneForWorker implements sim.ParallelCloner (the router is stateless).
-func (r RandZigZag) CloneForWorker() sim.Algorithm { return r }
-
-var _ sim.ParallelCloner = RandZigZag{}

@@ -41,7 +41,7 @@ type Scheduled struct {
 }
 
 // scheduledState is the precomputed schedule, built once at InitNode
-// time and immutable afterwards, so worker clones can share it.
+// time and immutable afterwards.
 type scheduledState struct {
 	built   bool
 	ps      *analysis.PathSystem
@@ -187,9 +187,3 @@ func (r *Scheduled) Result() analysis.Result {
 	}
 	return r.state.ps.Result()
 }
-
-// CloneForWorker implements sim.ParallelCloner: the schedule is built
-// serially at InitNode time and read-only afterwards, so clones share it.
-func (r *Scheduled) CloneForWorker() sim.Algorithm { return r }
-
-var _ sim.ParallelCloner = (*Scheduled)(nil)

@@ -44,8 +44,7 @@ func (r *Result) Canceled() bool {
 
 // Runner executes built scenarios. The zero value is ready to use.
 type Runner struct {
-	// Workers bounds Sweep's cross-scenario fan-out (0 = GOMAXPROCS). It
-	// is independent of Spec.Workers, which parallelizes within a step.
+	// Workers bounds Sweep's cross-scenario fan-out (0 = GOMAXPROCS).
 	Workers int
 	// StepHook, when set, runs after every engine step (visualization
 	// snapshots, custom progress reporting). Setting it moves the run

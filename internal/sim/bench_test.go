@@ -106,12 +106,11 @@ func benchStepDense(b *testing.B, sink obs.Sink) {
 // permutation — the scaling workload of docs/SCALING.md: one packet per
 // node, average distance ~n/2, so the step loop stays saturated for
 // hundreds of steps before a rebuild.
-func torusTransposeNet(n, workers int) *Network {
+func torusTransposeNet(n int) *Network {
 	net := MustNew(Config{
-		Topo:    grid.NewSquareTorus(n),
-		K:       4,
-		Queues:  CentralQueue,
-		Workers: workers,
+		Topo:   grid.NewSquareTorus(n),
+		K:      4,
+		Queues: CentralQueue,
 	})
 	for y := 0; y < n; y++ {
 		for x := 0; x < n; x++ {
@@ -126,8 +125,8 @@ func torusTransposeNet(n, workers int) *Network {
 // timer starts: at n=1024 a benchmark iteration count of ~5 would
 // otherwise charge the one-time growth allocations to allocs/op and mask
 // the steady state the 0-alloc gate pins.
-func warmTorusTransposeNet(tb testing.TB, n, workers int) *Network {
-	net := torusTransposeNet(n, workers)
+func warmTorusTransposeNet(tb testing.TB, n int) *Network {
+	net := torusTransposeNet(n)
 	for i := 0; i < 12; i++ {
 		if err := net.StepOnce(greedyXY{}); err != nil {
 			tb.Fatal(err)
@@ -136,55 +135,42 @@ func warmTorusTransposeNet(tb testing.TB, n, workers int) *Network {
 	return net
 }
 
-// BenchmarkStepTorus is the n×workers scaling matrix: one fully loaded
-// torus step at side lengths 64, 256 and 1024 (4K, 65K and 1M packets),
-// serial (w1) and with 2/4/8 pipeline workers. Every cell is a zero-alloc
-// guard: a steady-state step must not allocate at any size or worker
-// count (benchgate gates all 12 cells at 0 allocs/op and 0 B/op). The
-// w > 1 cells also report a speedup metric — the same-n w1 cell's ns/op
-// divided by theirs — so scaling regressions are visible in the raw bench
-// output (benchgate additionally gates the n1024 w4:w1 ratio on multicore
-// machines).
+// BenchmarkStepTorus is the size-scaling series: one fully loaded torus
+// step at side lengths 64, 256 and 1024 (4K, 65K and 1M packets). Every
+// cell is a zero-alloc guard: a steady-state step must not allocate at any
+// size (benchgate gates all three cells at 0 allocs/op and 0 B/op). The
+// cells keep their historical "/w1" suffix so baselines stay comparable.
 func BenchmarkStepTorus(b *testing.B) {
-	w1ns := map[int]float64{}
 	for _, n := range []int{64, 256, 1024} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			n, workers := n, workers
-			b.Run(fmt.Sprintf("n%d/w%d", n, workers), func(b *testing.B) {
-				net := warmTorusTransposeNet(b, n, workers)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if net.Done() {
-						b.StopTimer()
-						net = warmTorusTransposeNet(b, n, workers)
-						b.StartTimer()
-					}
-					if err := net.StepOnce(greedyXY{}); err != nil {
-						b.Fatal(err)
-					}
+		n := n
+		b.Run(fmt.Sprintf("n%d/w1", n), func(b *testing.B) {
+			net := warmTorusTransposeNet(b, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if net.Done() {
+					b.StopTimer()
+					net = warmTorusTransposeNet(b, n)
+					b.StartTimer()
 				}
-				b.ReportMetric(float64(n*n), "packets")
-				nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-				if workers == 1 {
-					w1ns[n] = nsPerOp // last (longest) run wins
-				} else if base := w1ns[n]; base > 0 && nsPerOp > 0 {
-					b.ReportMetric(base/nsPerOp, "speedup")
+				if err := net.StepOnce(greedyXY{}); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+			b.ReportMetric(float64(n*n), "packets")
+		})
 	}
 }
 
 // TestSteadyStateZeroAllocs pins the struct-of-arrays contract at the
 // million-node scale: after warm-up (queue regions grown to their working
-// capacity, scratch buffers sized), a serial engine step on a fully loaded
+// capacity, scratch buffers sized), an engine step on a fully loaded
 // 1024×1024 torus performs zero heap allocations.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1M-packet network build is slow; skipped with -short")
 	}
-	net := warmTorusTransposeNet(t, 1024, 0)
+	net := warmTorusTransposeNet(t, 1024)
 	avg := testing.AllocsPerRun(5, func() {
 		if err := net.StepOnce(greedyXY{}); err != nil {
 			t.Fatal(err)

@@ -61,8 +61,8 @@ func (m *Metrics) noteDelivered(injectStep, step int) {
 }
 
 // noteDeliveredBatch folds a whole step's deliveries into the metrics at
-// once: the part (d) apply (serial or per-worker shard) counts deliveries
-// and sums their delays locally, and the engine commits the batch here.
+// once: the part (d) apply counts deliveries and sums their delays
+// locally, and the engine commits the batch here.
 // Equivalent to count noteDelivered calls with this step number.
 func (m *Metrics) noteDeliveredBatch(step, count, sumDelay int) {
 	if count == 0 {
@@ -81,7 +81,7 @@ func (m *Metrics) noteDeliveredBatch(step, count, sumDelay int) {
 }
 
 // noteOccupancy folds one end-of-step occupancy maxima observation (from
-// the part (e) scan, per shard when parallel) into the run maxima.
+// the part (e) scan) into the run maxima.
 func (m *Metrics) noteOccupancy(maxQueue, maxNodeLoad int) {
 	if maxQueue > m.MaxQueueLen {
 		m.MaxQueueLen = maxQueue

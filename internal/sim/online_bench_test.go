@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"testing"
 
 	"meshroute/internal/analysis"
@@ -65,20 +64,16 @@ func (a onlineXY) Accept(net *Network, n *Node, offers []Offer, acc []bool) {
 	}
 }
 
-// CloneForWorker implements ParallelCloner (the algorithm is stateless).
-func (a onlineXY) CloneForWorker() Algorithm { return a }
-
 // onlineStreamNet builds an n×n mesh driven by the streamSource under the
 // retry admission policy, pre-reserving store capacity for the given number
 // of steps so steady-state appends never grow a column mid-measurement, and
 // warms it for 3n steps (injection equilibrium: in-flight population and
 // per-node backlog/queue capacities at their working sizes).
-func onlineStreamNet(tb testing.TB, n, workers, steps int) *Network {
+func onlineStreamNet(tb testing.TB, n, steps int) *Network {
 	net := MustNew(Config{
-		Topo:    grid.NewSquareMesh(n),
-		K:       4,
-		Queues:  CentralQueue,
-		Workers: workers,
+		Topo:   grid.NewSquareMesh(n),
+		K:      4,
+		Queues: CentralQueue,
 	})
 	warm := 3 * n
 	perStep := n*n/149 + 1
@@ -99,84 +94,71 @@ func onlineStreamNet(tb testing.TB, n, workers, steps int) *Network {
 
 // BenchmarkStepOnline measures one engine step under sustained streaming
 // injection on a 64×64 mesh (~27 arrivals per step, ~1K packets in flight
-// at equilibrium), serial and at 2/4/8 pipeline workers. Every cell is a
-// zero-alloc guard like the StepTorus matrix: the admission phase rides
-// inside the five-phase step, so a steady-state online step must allocate
-// nothing at any worker count (benchgate gates all four cells). The
-// network is rebuilt every epoch outside the timer, since an open workload
-// never reaches Done.
+// at equilibrium). It is a zero-alloc guard like the StepTorus cells: the
+// admission phase rides inside the step, so a steady-state online step
+// must allocate nothing (benchgate gates it). The network is rebuilt every
+// epoch outside the timer, since an open workload never reaches Done.
 func BenchmarkStepOnline(b *testing.B) {
 	const n = 64
 	const epoch = 1024
-	for _, workers := range []int{1, 2, 4, 8} {
-		workers := workers
-		b.Run(fmt.Sprintf("n%d/w%d", n, workers), func(b *testing.B) {
-			net := onlineStreamNet(b, n, workers, epoch)
-			left := epoch
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if left == 0 {
-					b.StopTimer()
-					net = onlineStreamNet(b, n, workers, epoch)
-					left = epoch
-					b.StartTimer()
-				}
-				if err := net.StepOnce(onlineXY{}); err != nil {
-					b.Fatal(err)
-				}
-				left--
+	b.Run("n64/w1", func(b *testing.B) {
+		net := onlineStreamNet(b, n, epoch)
+		left := epoch
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if left == 0 {
+				b.StopTimer()
+				net = onlineStreamNet(b, n, epoch)
+				left = epoch
+				b.StartTimer()
 			}
-			b.ReportMetric(float64(net.TotalPackets())/float64(net.Step()), "arrivals/step")
-		})
-	}
+			if err := net.StepOnce(onlineXY{}); err != nil {
+				b.Fatal(err)
+			}
+			left--
+		}
+		b.ReportMetric(float64(net.TotalPackets())/float64(net.Step()), "arrivals/step")
+	})
 }
 
 // BenchmarkStepOnlineAnalyzed is the StepOnline cell with the C/D
 // accumulator (internal/analysis) attached as the admission-time
 // analyzer. The accumulator's Admit walks the canonical path of every
-// admitted packet but never allocates, so these cells hold the same
-// 0 B/op / 0 allocs/op contract as the analyzer-off matrix — benchgate
+// admitted packet but never allocates, so this cell holds the same
+// 0 B/op / 0 allocs/op contract as the analyzer-off cell — benchgate
 // gates both, which pins that analysis stays pay-for-play in CPU only.
 func BenchmarkStepOnlineAnalyzed(b *testing.B) {
 	const n = 64
 	const epoch = 1024
-	build := func(workers int) *Network {
-		net := onlineAnalyzedNet(b, n, workers, epoch)
-		return net
-	}
-	for _, workers := range []int{1, 4} {
-		workers := workers
-		b.Run(fmt.Sprintf("n%d/w%d", n, workers), func(b *testing.B) {
-			net := build(workers)
-			left := epoch
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if left == 0 {
-					b.StopTimer()
-					net = build(workers)
-					left = epoch
-					b.StartTimer()
-				}
-				if err := net.StepOnce(onlineXY{}); err != nil {
-					b.Fatal(err)
-				}
-				left--
+	b.Run("n64/w1", func(b *testing.B) {
+		net := onlineAnalyzedNet(b, n, epoch)
+		left := epoch
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if left == 0 {
+				b.StopTimer()
+				net = onlineAnalyzedNet(b, n, epoch)
+				left = epoch
+				b.StartTimer()
 			}
-		})
-	}
+			if err := net.StepOnce(onlineXY{}); err != nil {
+				b.Fatal(err)
+			}
+			left--
+		}
+	})
 }
 
 // onlineAnalyzedNet is onlineStreamNet with a C/D accumulator installed
 // before the source attaches (the same ordering the scenario layer uses,
 // so step-0 and warm-up injections are counted).
-func onlineAnalyzedNet(tb testing.TB, n, workers, steps int) *Network {
+func onlineAnalyzedNet(tb testing.TB, n, steps int) *Network {
 	net := MustNew(Config{
-		Topo:    grid.NewSquareMesh(n),
-		K:       4,
-		Queues:  CentralQueue,
-		Workers: workers,
+		Topo:   grid.NewSquareMesh(n),
+		K:      4,
+		Queues: CentralQueue,
 	})
 	net.SetAnalyzer(analysis.NewAccumulator(net.Topo))
 	warm := 3 * n
@@ -196,23 +178,17 @@ func onlineAnalyzedNet(tb testing.TB, n, workers, steps int) *Network {
 // TestOnlineSteadyStateStepAllocs pins the tentpole's zero-alloc
 // requirement directly: after warm-up, a steady-state engine step under
 // continuous streaming injection — source pull, admission, backlog drain
-// and all — performs zero heap allocations, serial and with 4 pipeline
-// workers.
+// and all — performs zero heap allocations.
 func TestOnlineSteadyStateStepAllocs(t *testing.T) {
-	for _, workers := range []int{0, 4} {
-		workers := workers
-		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
-			const runs = 10
-			net := onlineStreamNet(t, 64, workers, runs+2)
-			avg := testing.AllocsPerRun(runs, func() {
-				if err := net.StepOnce(onlineXY{}); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if avg != 0 {
-				t.Fatalf("steady-state online step allocates %v times (workers=%d), want 0", avg, workers)
-			}
-		})
+	const runs = 10
+	net := onlineStreamNet(t, 64, runs+2)
+	avg := testing.AllocsPerRun(runs, func() {
+		if err := net.StepOnce(onlineXY{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("steady-state online step allocates %v times, want 0", avg)
 	}
 }
 
@@ -221,26 +197,21 @@ func TestOnlineSteadyStateStepAllocs(t *testing.T) {
 // allocations (analysis is pay-for-play in CPU, never in allocations),
 // and that the accumulator actually accrued a result over the warm-up.
 func TestAnalyzedSteadyStateStepAllocs(t *testing.T) {
-	for _, workers := range []int{0, 4} {
-		workers := workers
-		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
-			const runs = 10
-			net := onlineAnalyzedNet(t, 64, workers, runs+2)
-			avg := testing.AllocsPerRun(runs, func() {
-				if err := net.StepOnce(onlineXY{}); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if avg != 0 {
-				t.Fatalf("analyzed steady-state step allocates %v times (workers=%d), want 0", avg, workers)
-			}
-			acc, ok := net.analyzer.(*analysis.Accumulator)
-			if !ok {
-				t.Fatalf("analyzer is %T, want *analysis.Accumulator", net.analyzer)
-			}
-			if r := acc.Result(); r.Congestion <= 0 || r.Dilation <= 0 {
-				t.Fatalf("accumulator accrued nothing: C=%d D=%d", r.Congestion, r.Dilation)
-			}
-		})
+	const runs = 10
+	net := onlineAnalyzedNet(t, 64, runs+2)
+	avg := testing.AllocsPerRun(runs, func() {
+		if err := net.StepOnce(onlineXY{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("analyzed steady-state step allocates %v times, want 0", avg)
+	}
+	acc, ok := net.analyzer.(*analysis.Accumulator)
+	if !ok {
+		t.Fatalf("analyzer is %T, want *analysis.Accumulator", net.analyzer)
+	}
+	if r := acc.Result(); r.Congestion <= 0 || r.Dilation <= 0 {
+		t.Fatalf("accumulator accrued nothing: C=%d D=%d", r.Congestion, r.Dilation)
 	}
 }

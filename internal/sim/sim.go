@@ -287,26 +287,9 @@ type Algorithm interface {
 	Update(net *Network, n *Node)
 }
 
-// ParallelCloner is implemented by algorithms whose Schedule, Accept and
-// Update are node-local (they read shared network state but mutate only the
-// node they are given and its packets). When Config.Workers > 1, the engine
-// calls CloneForWorker once per worker and drives each clone on disjoint
-// shards: the occupied-node list for Schedule and Update, the offer-target
-// list for Accept (every Accept call still sees only one target node and
-// its own offers); InitNode always runs on the original. Stateless
-// algorithms may simply return themselves.
-type ParallelCloner interface {
-	Algorithm
-	// CloneForWorker returns an Algorithm safe to drive concurrently with
-	// the receiver on disjoint node sets.
-	CloneForWorker() Algorithm
-}
-
 // Preparer is implemented by algorithms that build per-run tables from the
-// network they drive. The engine calls Prepare serially before the first
-// InitNode of a run and again before it creates CloneForWorker clones, so
-// clones may share whatever Prepare built. Prepare must be idempotent for a
-// given network.
+// network they drive. The engine calls Prepare once, before the first
+// InitNode of a run. Prepare must be idempotent for a given network.
 type Preparer interface {
 	Prepare(net *Network)
 }
@@ -345,16 +328,11 @@ type Config struct {
 	// carrying structured diagnostics instead of burning the remaining
 	// step budget. 0 disables the watchdog.
 	Watchdog int
-	// Workers, when > 1, runs the step through the persistent parallel
-	// pipeline (pipeline.go): part (a) scheduling, part (c) Accept
-	// dispatch, the two part (d) owner-computes halves (sender-side
-	// compaction, target-side apply) and part (e) updates are each sharded
-	// across that many long-lived worker goroutines. It takes effect only
-	// for algorithms implementing ParallelCloner; other algorithms run
-	// serial. Each worker owns contiguous shards of the relevant work
-	// lists and a private algorithm clone, touches only its own nodes,
-	// and per-worker outputs are merged in shard order, so results are
-	// bit-identical to serial execution. 0 and 1 mean serial.
+	// Workers is ignored: every step runs serially. New still rejects a
+	// negative value.
+	//
+	// Deprecated: the engine has no intra-step parallelism; parallelize
+	// across runs instead (scenario.Runner.Workers, internal/par).
 	Workers int
 }
 
@@ -450,17 +428,6 @@ type Network struct {
 	// Metrics accumulates run statistics.
 	Metrics Metrics
 
-	// Parallel step-pipeline state (used only when cfg.Workers > 1 and the
-	// algorithm implements ParallelCloner; see pipeline.go). Clones and the
-	// per-worker scratch are cached by algorithm name so repeated StepOnce
-	// calls reuse them; pool is the persistent worker pool, spawned lazily
-	// and stopped at the end of every Run.
-	parName       string
-	parClones     []Algorithm
-	ws            []workerScratch
-	pool          *stepPool
-	poolFinalizer bool // finalizer backstop armed (once per Network)
-
 	inited  bool
 	scratch stepScratch
 }
@@ -485,16 +452,8 @@ type stepScratch struct {
 	stamp    int32
 
 	arrivals []arrival
-	nDeliv   int           // length of the delivery prefix of arrivals
 	accept   []bool        // Accept decision buffer, sliced per target
 	senders  []grid.NodeID // distinct sending nodes of this step's arrivals
-
-	// Weighted pipeline shard boundaries (length Workers+1, parallel steps
-	// only): occBounds splits the occupied list by resident-packet mass
-	// for the schedule phase, tgtBounds the target list by offer count for
-	// the accept phase. See balanceBounds.
-	occBounds []int
-	tgtBounds []int
 
 	// Observer record buffers (reused only when an observer is set).
 	recMoves     []Move
@@ -818,14 +777,6 @@ func (net *Network) growQueue(n *Node) {
 // attach adds p to node under queue tag, maintaining occupancy tracking and
 // the packet's slot index (used by the part (d) batch removal).
 func (net *Network) attach(node *Node, p PacketID, tag uint8) {
-	net.attachTo(node, p, tag, &net.occ)
-}
-
-// attachTo is attach with the newly-occupied list made explicit: a node
-// becoming occupied is appended to *occOut instead of net.occ directly. The
-// parallel apply phase passes a worker-private buffer (merged into net.occ
-// in shard order afterwards); everything else passes &net.occ.
-func (net *Network) attachTo(node *Node, p PacketID, tag uint8, occOut *[]grid.NodeID) {
 	st := &net.P
 	st.QTag[p] = tag
 	st.At[p] = node.ID
@@ -838,7 +789,7 @@ func (net *Network) attachTo(node *Node, p PacketID, tag uint8, occOut *[]grid.N
 	node.counts[tag]++
 	if !net.isOcc[node.ID] {
 		net.isOcc[node.ID] = true
-		*occOut = append(*occOut, node.ID)
+		net.occ = append(net.occ, node.ID)
 	}
 }
 

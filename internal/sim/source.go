@@ -36,7 +36,7 @@ type Injection struct {
 //     true the engine never calls the source again;
 //   - implementations that consume a seeded RNG must consume it only
 //     inside Next, so the single-call-per-step contract pins the random
-//     stream and identical seeds yield identical runs at any worker count.
+//     stream and identical seeds yield identical runs.
 //
 // Step-0 injections are placements: they go through the same admission as
 // Place, so a Source that emits everything at step 0 is the degenerate

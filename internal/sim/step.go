@@ -38,10 +38,6 @@ func (net *Network) RunPartialContext(ctx context.Context, alg Algorithm, maxSte
 }
 
 func (net *Network) run(ctx context.Context, alg Algorithm, maxSteps int, allowPartial bool) (int, error) {
-	// Stop the persistent worker pool (if one was spawned) when this run
-	// returns, so no goroutines outlive a Run call; the pool respawns
-	// lazily if the network is stepped or run again.
-	defer net.stopPool()
 	start := net.step
 	if net.lastProgress < start {
 		net.lastProgress = start
@@ -95,12 +91,10 @@ type arrival struct {
 
 // StepOnce executes one synchronous step: outqueue scheduling, adversary
 // exchanges, inqueue acceptance, transmission, and state update. At steady
-// state (no injections, nil sink) it performs zero heap allocations — at
-// any worker count: every per-step buffer lives in stepScratch or a
-// worker's workerScratch and is reused across steps, the persistent
-// worker pool (pipeline.go) is released through reusable channel
-// barriers, and the index-based queue slots never grow once a node's
-// region has reached its peak occupancy.
+// state (no injections, nil sink) it performs zero heap allocations: every
+// per-step buffer lives in stepScratch and is reused across steps, and the
+// index-based queue slots never grow once a node's region has reached its
+// peak occupancy.
 func (net *Network) StepOnce(alg Algorithm) error {
 	if !net.inited {
 		if p, ok := alg.(Preparer); ok {
@@ -128,36 +122,8 @@ func (net *Network) StepOnce(alg Algorithm) error {
 	resident := net.total - net.delivered - net.backlogTotal - net.pendingTotal
 
 	// Part (a): outqueue policies schedule packets. Stalled nodes are
-	// frozen: they schedule nothing (and below, accept nothing). With
-	// Workers > 1 and a ParallelCloner algorithm, the persistent pool
-	// schedules contiguous shards of the occupied list concurrently and
-	// the per-worker move buffers are merged in shard order, which
-	// reproduces the serial move order exactly.
-	var (
-		moves []Move
-		drops int
-		err   error
-	)
-	clones := net.workerClones(alg)
-	if clones == nil {
-		moves, drops, err = net.scheduleNodes(alg, net.occ, s.moves[:0])
-	} else {
-		balanceBounds(s.occBounds, len(net.occ), resident, len(clones), func(i int) int {
-			return int(net.nodes[net.occ[i]].qLen)
-		})
-		net.pool.run(net, phaseSchedule)
-		moves = s.moves[:0]
-		for i := range net.ws {
-			ws := &net.ws[i]
-			if err == nil {
-				err = ws.err
-			}
-			moves = append(moves, ws.moves...)
-			drops += ws.drops
-		}
-	}
-	net.Metrics.FaultDrops += drops
-	s.moves = moves
+	// frozen: they schedule nothing (and below, accept nothing).
+	moves, err := net.scheduleNodes(alg)
 	if err != nil {
 		if ue, ok := err.(*UnreachableError); ok {
 			net.emitEvent(obs.Event{Step: t, Kind: "unreachable", Node: int(ue.At), Detail: ue.Error()})
@@ -242,60 +208,26 @@ func (net *Network) StepOnce(alg Algorithm) error {
 		s.offStart[m.To]++
 	}
 	// Accept dispatch: each target's inqueue policy sees its contiguous
-	// offer region. With workers, the target list is sharded across the
-	// pool (inqueue policies are target-node-local per the ParallelCloner
-	// contract) and the per-worker arrival buffers are merged in shard
-	// order — the serial arrival order, target by target.
-	s.nDeliv = len(arrivals)
-	if clones == nil {
-		arrivals = net.acceptTargets(alg, targets, &s.accept, arrivals)
-	} else {
-		s.arrivals = arrivals
-		balanceBounds(s.tgtBounds, len(targets), nOffers, len(clones), func(i int) int {
-			return int(s.offCount[targets[i]])
-		})
-		net.pool.run(net, phaseAccept)
-		for i := range net.ws {
-			arrivals = append(arrivals, net.ws[i].arrivals...)
-		}
-	}
+	// offer region; accepted offers follow the deliveries, target by
+	// target.
+	arrivals = net.acceptTargets(alg, arrivals)
 	s.arrivals = arrivals
 
-	// Part (d): simultaneous transmission, as two owner-computes halves.
-	// First every mover is located at its sender in O(1) via its
-	// engine-maintained slot index and marked departing (markDepartures,
-	// serial — it also deduplicates the sender list). Then each distinct
-	// sender's queue region is compacted once, order-preserving
-	// (sender-owner; P3 when parallel), and finally the arrivals are
-	// applied — deliveries and attaches (target-owner; P4 when parallel,
-	// with queue regions pre-grown in between so attach never touches the
-	// shared arena). Removal strictly precedes insertion, so departures
-	// free space for arrivals within the step.
+	// Part (d): simultaneous transmission. First every mover is located at
+	// its sender in O(1) via its engine-maintained slot index and marked
+	// departing (markDepartures, which also deduplicates the sender list).
+	// Then each distinct sender's queue region is compacted once,
+	// order-preserving, and finally the arrivals are applied — deliveries
+	// and attaches. Removal strictly precedes insertion, so departures free
+	// space for arrivals within the step.
 	if err := net.markDepartures(arrivals); err != nil {
 		return err
 	}
-	if clones == nil {
-		net.compactSenders(s.senders)
-		d, sd, h := net.applyArrivals(arrivals, &net.occ)
-		net.delivered += d
-		net.Metrics.TotalHops += h
-		net.Metrics.noteDeliveredBatch(t, d, sd)
-	} else {
-		net.pool.run(net, phaseCompact)
-		net.growForArrivals()
-		net.pool.run(net, phaseApply)
-		var d, sd, h int
-		for i := range net.ws {
-			ws := &net.ws[i]
-			d += ws.delivered
-			sd += ws.sumDelay
-			h += ws.hops
-			net.occ = append(net.occ, ws.newOcc...)
-		}
-		net.delivered += d
-		net.Metrics.TotalHops += h
-		net.Metrics.noteDeliveredBatch(t, d, sd)
-	}
+	net.compactSenders()
+	d, sd, h := net.applyArrivals(arrivals)
+	net.delivered += d
+	net.Metrics.TotalHops += h
+	net.Metrics.noteDeliveredBatch(t, d, sd)
 
 	// Runtime invariant checker: queue capacity, count consistency and
 	// packet conservation (CheckInvariants). Minimality was already
@@ -309,19 +241,8 @@ func (net *Network) StepOnce(alg Algorithm) error {
 	// Part (e): state updates on every node that held packets this step,
 	// fused with the end-of-step queue-occupancy maxima scan (the update
 	// does not change queue contents, so fusing is invisible). Stalled
-	// nodes stay frozen: their state must not advance. Updates are
-	// node-local for ParallelCloner algorithms, so sharding them changes
-	// no observable state relative to the serial loop; the maxima merge
-	// under max, which is order-insensitive.
-	if clones == nil {
-		mq, ml := net.updateNodes(alg, net.occ)
-		net.Metrics.noteOccupancy(mq, ml)
-	} else {
-		net.pool.run(net, phaseUpdate)
-		for i := range net.ws {
-			net.Metrics.noteOccupancy(net.ws[i].maxQueue, net.ws[i].maxNodeLoad)
-		}
-	}
+	// nodes stay frozen: their state must not advance.
+	net.Metrics.noteOccupancy(net.updateNodes(alg))
 
 	if net.delivered > deliveredBefore {
 		net.lastProgress = t
@@ -348,16 +269,16 @@ func (net *Network) StepOnce(alg Algorithm) error {
 	return nil
 }
 
-// scheduleNodes runs part (a) for the given occupied nodes, appending the
-// scheduled (and fault-surviving) moves to dst. It returns the moves, the
-// number of fault drops, and the first scheduling error. It mutates only the
-// given nodes (through alg.Schedule) and dst, treating all other network
-// state as read-only, so disjoint shards may run concurrently.
-func (net *Network) scheduleNodes(alg Algorithm, ids []grid.NodeID, dst []Move) ([]Move, int, error) {
+// scheduleNodes runs part (a) on every occupied node, collecting the
+// scheduled (and fault-surviving) moves in the step's move buffer and
+// counting moves onto failed links as fault drops. It returns the moves, or
+// the first scheduling error.
+func (net *Network) scheduleNodes(alg Algorithm) ([]Move, error) {
 	t := net.step
 	st := &net.P
-	drops := 0
-	for _, id := range ids {
+	s := &net.scratch
+	moves := s.moves[:0]
+	for _, id := range net.occ {
 		node := &net.nodes[id]
 		if node.qLen == 0 {
 			continue
@@ -372,7 +293,7 @@ func (net *Network) scheduleNodes(alg Algorithm, ids []grid.NodeID, dst []Move) 
 				if pd := net.linkPerm[id]; pd != 0 {
 					for _, p := range net.PacketsOf(node) {
 						if prof := net.Topo.Profitable(id, st.Dst[p]); prof != 0 && prof&^pd == 0 {
-							return dst, drops, &UnreachableError{
+							return nil, &UnreachableError{
 								PacketID: p.ID(), At: id, Dst: st.Dst[p],
 								AtCoord: net.Topo.CoordOf(id), DstCoord: net.Topo.CoordOf(st.Dst[p]),
 								Step: t,
@@ -394,12 +315,12 @@ func (net *Network) scheduleNodes(alg Algorithm, ids []grid.NodeID, dst []Move) 
 				continue
 			}
 			if idx >= len(q) {
-				return dst, drops, fmt.Errorf("sim: %s scheduled out-of-range packet index %d at node %v",
+				return nil, fmt.Errorf("sim: %s scheduled out-of-range packet index %d at node %v",
 					alg.Name(), idx, net.Topo.CoordOf(id))
 			}
 			for dd := grid.Dir(0); dd < d; dd++ {
 				if used[dd] == idx {
-					return dst, drops, fmt.Errorf("sim: %s scheduled packet %d on two outlinks at node %v",
+					return nil, fmt.Errorf("sim: %s scheduled packet %d on two outlinks at node %v",
 						alg.Name(), q[idx].ID(), net.Topo.CoordOf(id))
 				}
 			}
@@ -407,46 +328,45 @@ func (net *Network) scheduleNodes(alg Algorithm, ids []grid.NodeID, dst []Move) 
 			p := q[idx]
 			nb, ok := net.Topo.Neighbor(id, d)
 			if !ok {
-				return dst, drops, fmt.Errorf("sim: %s scheduled packet %d on missing outlink %v of node %v",
+				return nil, fmt.Errorf("sim: %s scheduled packet %d on missing outlink %v of node %v",
 					alg.Name(), p.ID(), d, net.Topo.CoordOf(id))
 			}
 			if net.cfg.RequireMinimal && !net.Topo.Profitable(id, st.Dst[p]).Has(d) {
-				return dst, drops, fmt.Errorf("sim: %s scheduled non-minimal move of packet %d: %v -> %v toward %v",
+				return nil, fmt.Errorf("sim: %s scheduled non-minimal move of packet %d: %v -> %v toward %v",
 					alg.Name(), p.ID(), net.Topo.CoordOf(id), net.Topo.CoordOf(nb), net.Topo.CoordOf(st.Dst[p]))
 			}
 			if !net.cfg.RequireMinimal && net.cfg.MaxStray > 0 && !net.withinStray(p, nb) {
-				return dst, drops, fmt.Errorf("sim: %s moved packet %d more than %d beyond its source-destination rectangle",
+				return nil, fmt.Errorf("sim: %s moved packet %d more than %d beyond its source-destination rectangle",
 					alg.Name(), p.ID(), net.cfg.MaxStray)
 			}
 			// A legal move onto a failed link is silently dropped: the
 			// packet stays put and may retry (or detour) next step.
 			if net.hasFaults && !net.LinkUp(id, d) {
-				drops++
+				net.Metrics.FaultDrops++
 				continue
 			}
-			dst = append(dst, Move{P: p, From: id, To: nb, Travel: d})
+			moves = append(moves, Move{P: p, From: id, To: nb, Travel: d})
 		}
 	}
-	return dst, drops, nil
+	s.moves = moves
+	return moves, nil
 }
 
-// acceptTargets runs the part (c) inqueue dispatch for the given targets,
-// appending the accepted offers to dst as arrivals. Each target's offers
-// occupy a contiguous region of the flat offer index built by StepOnce
-// (offStart was advanced past the region by the fill pass, so the region
-// starts at offStart-offCount). It mutates only the given target nodes
-// (through alg.Accept) and dst, so disjoint target shards may run
-// concurrently. acceptBuf is the caller-owned reusable decision buffer.
-func (net *Network) acceptTargets(alg Algorithm, targets []grid.NodeID, acceptBuf *[]bool, dst []arrival) []arrival {
+// acceptTargets runs the part (c) inqueue dispatch for every offer target
+// of the step, appending the accepted offers to dst as arrivals. Each
+// target's offers occupy a contiguous region of the flat offer index built
+// by StepOnce (offStart was advanced past the region by the fill pass, so
+// the region starts at offStart-offCount).
+func (net *Network) acceptTargets(alg Algorithm, dst []arrival) []arrival {
 	s := &net.scratch
-	for _, to := range targets {
+	for _, to := range s.targets {
 		cnt := int(s.offCount[to])
 		start := int(s.offStart[to]) - cnt // pass 2 advanced offStart past the region
 		offs := s.offers[start : start+cnt]
-		if cap(*acceptBuf) < cnt {
-			*acceptBuf = make([]bool, cnt)
+		if cap(s.accept) < cnt {
+			s.accept = make([]bool, cnt)
 		}
-		acc := (*acceptBuf)[:cnt]
+		acc := s.accept[:cnt]
 		for i := range acc {
 			acc[i] = false
 		}
@@ -462,8 +382,7 @@ func (net *Network) acceptTargets(alg Algorithm, targets []grid.NodeID, acceptBu
 
 // markDepartures validates every arrival against its sender's queue, marks
 // the moving packets departing, and rebuilds the deduplicated distinct-
-// sender list in s.senders. Serial: it writes the shared departing column
-// and the sendMark epoch array.
+// sender list in s.senders.
 func (net *Network) markDepartures(arrivals []arrival) error {
 	s := &net.scratch
 	st := &net.P
@@ -487,15 +406,14 @@ func (net *Network) markDepartures(arrivals []arrival) error {
 	return nil
 }
 
-// compactSenders removes departing packets from each listed sender's queue
-// region, preserving FIFO order of the packets that stay, in one O(qLen)
-// pass per sender. The per-tag count decrement reads the departing packet's
-// old QTag, so compaction must complete before applyArrivals re-tags any
-// packet (the P3 barrier when parallel). Senders are distinct nodes, so
-// disjoint shards of the sender list touch disjoint queue regions.
-func (net *Network) compactSenders(senders []grid.NodeID) {
+// compactSenders removes departing packets from each distinct sender's
+// queue region, preserving FIFO order of the packets that stay, in one
+// O(qLen) pass per sender. The per-tag count decrement reads the departing
+// packet's old QTag, so compaction must complete before applyArrivals
+// re-tags any packet.
+func (net *Network) compactSenders() {
 	st := &net.P
-	for _, id := range senders {
+	for _, id := range net.scratch.senders {
 		node := &net.nodes[id]
 		q := net.slots[node.qStart : node.qStart+node.qLen]
 		w := uint32(0)
@@ -516,12 +434,7 @@ func (net *Network) compactSenders(senders []grid.NodeID) {
 // reached their destination and attaching the rest to their new node's
 // queue — returning the delivered count, the summed delivery delay
 // (deliverStep-injectStep, for the metrics batch), and the hop count.
-// Nodes that become occupied are appended to occOut (the shared occ list
-// serially, a worker-private buffer in the parallel apply phase). Arrivals
-// are grouped per target, so disjoint shards of the arrival list touch
-// disjoint target nodes; queue regions must already have capacity for
-// every arrival (pre-grown by growForArrivals when parallel).
-func (net *Network) applyArrivals(arrivals []arrival, occOut *[]grid.NodeID) (delivered, sumDelay, hops int) {
+func (net *Network) applyArrivals(arrivals []arrival) (delivered, sumDelay, hops int) {
 	st := &net.P
 	t := net.step
 	for _, a := range arrivals {
@@ -542,22 +455,19 @@ func (net *Network) applyArrivals(arrivals []arrival, occOut *[]grid.NodeID) (de
 		if net.Queues == PerInlinkQueues {
 			tag = uint8(a.dir.Opposite())
 		}
-		net.attachTo(&net.nodes[a.to], p, tag, occOut)
+		net.attach(&net.nodes[a.to], p, tag)
 	}
 	return delivered, sumDelay, hops
 }
 
-// updateNodes runs part (e) for the given occupied nodes — skipping
-// stalled nodes, whose state must stay frozen — fused with the
-// queue-occupancy maxima scan, returning the largest single queue
-// (excluding the unbounded origin buffer) and the largest total node load
-// seen in the shard. Update still runs on nodes that emptied during the
-// step (they held a packet at its start, which is the Update contract);
-// the maxima scan skips them. Updates are node-local for ParallelCloner
-// algorithms and the scan is read-only, so disjoint shards may run
-// concurrently; maxima merge under max, which is order-blind.
-func (net *Network) updateNodes(alg Algorithm, ids []grid.NodeID) (maxQueue, maxNodeLoad int) {
-	for _, id := range ids {
+// updateNodes runs part (e) on every occupied node — skipping stalled
+// nodes, whose state must stay frozen — fused with the queue-occupancy
+// maxima scan, returning the largest single queue (excluding the unbounded
+// origin buffer) and the largest total node load. Update still runs on
+// nodes that emptied during the step (they held a packet at its start,
+// which is the Update contract); the maxima scan skips them.
+func (net *Network) updateNodes(alg Algorithm) (maxQueue, maxNodeLoad int) {
+	for _, id := range net.occ {
 		node := &net.nodes[id]
 		if node.qLen > 0 {
 			if l := int(node.qLen); l > maxNodeLoad {
@@ -578,42 +488,6 @@ func (net *Network) updateNodes(alg Algorithm, ids []grid.NodeID) (maxQueue, max
 		alg.Update(net, node)
 	}
 	return maxQueue, maxNodeLoad
-}
-
-// workerClones returns the per-worker algorithm clones for the configured
-// worker count, or nil when the step must run serially (Workers <= 1, or the
-// algorithm does not implement ParallelCloner). Clones and the per-worker
-// scratch are cached across steps, keyed by the algorithm's name, and the
-// persistent worker pool is (re)spawned here if a previous Run stopped it.
-func (net *Network) workerClones(alg Algorithm) []Algorithm {
-	w := net.cfg.Workers
-	if w <= 1 {
-		return nil
-	}
-	pc, ok := alg.(ParallelCloner)
-	if !ok {
-		return nil
-	}
-	if net.parName != alg.Name() || len(net.parClones) != w {
-		if p, ok := alg.(Preparer); ok {
-			p.Prepare(net)
-		}
-		net.parClones = net.parClones[:0]
-		for i := 0; i < w; i++ {
-			net.parClones = append(net.parClones, pc.CloneForWorker())
-		}
-		net.parName = alg.Name()
-		net.ws = make([]workerScratch, w)
-		for i := range net.ws {
-			// A target's offers number at most one per inlink, so the
-			// per-worker Accept decision buffer never needs more.
-			net.ws[i].accept = make([]bool, grid.NumDirs)
-		}
-		net.scratch.occBounds = make([]int, w+1)
-		net.scratch.tgtBounds = make([]int, w+1)
-	}
-	net.ensurePool()
-	return net.parClones
 }
 
 // bumpStamp advances the epoch stamp that validates the offMark/sendMark

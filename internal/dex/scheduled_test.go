@@ -1,6 +1,7 @@
 package dex
 
 import (
+	"fmt"
 	"testing"
 
 	"meshroute/internal/fault"
@@ -91,54 +92,59 @@ func (s *schedSpy) Accept(c *NodeCtx, offers []OfferView, acc []bool) {
 
 // TestAcceptScheduledExactAndFresh checks NodeCtx.Scheduled against the
 // node's own Schedule output on every Accept call, under fault schedules
-// with link failures and node stalls. The run must exercise the cases
+// with link failures and node stalls, with Workers unset and with the
+// deprecated (ignored) Workers field set. The run must exercise the cases
 // where a stale memo would show: targets that scheduled in an earlier step
 // but were empty at part (a), and targets just released from a stall.
 func TestAcceptScheduledExactAndFresh(t *testing.T) {
 	const n = 8
 	topo := grid.NewSquareMesh(n)
-	var nonEmpty, stale, downLink, postStall int
-	for seed := int64(1); seed <= 6; seed++ {
-		faults, err := fault.Generate(topo, fault.Config{
-			Seed: seed, Horizon: 15,
-			LinkFailures: 8, MeanDownSteps: 6,
-			NodeStalls: 12, MeanStallSteps: 3,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		net := sim.MustNew(sim.Config{
-			Topo: topo, K: 2, Queues: sim.CentralQueue,
-			RequireMinimal: true, CheckInvariants: true,
-			Faults: faults,
-		})
-		if err := workload.Random(topo, seed).Place(net); err != nil {
-			t.Fatal(err)
-		}
-		spy := newSchedSpy(t)
-		alg := NewAdapter(spy)
-		stalled := map[nodeStep]bool{}
-		for i := 0; i < 200 && !net.Done(); i++ {
-			if _, err := net.RunPartial(alg, 1); err != nil {
-				t.Fatal(err)
-			}
-			for id := grid.NodeID(0); int(id) < topo.N(); id++ {
-				if net.Stalled(id) {
-					stalled[nodeStep{net.Step(), id}] = true
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+			var nonEmpty, stale, downLink, postStall int
+			for seed := int64(1); seed <= 6; seed++ {
+				faults, err := fault.Generate(topo, fault.Config{
+					Seed: seed, Horizon: 15,
+					LinkFailures: 8, MeanDownSteps: 6,
+					NodeStalls: 12, MeanStallSteps: 3,
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
+				net := sim.MustNew(sim.Config{
+					Topo: topo, K: 2, Queues: sim.CentralQueue,
+					RequireMinimal: true, CheckInvariants: true,
+					Faults: faults, Workers: workers,
+				})
+				if err := workload.Random(topo, seed).Place(net); err != nil {
+					t.Fatal(err)
+				}
+				spy := newSchedSpy(t)
+				alg := NewAdapter(spy)
+				stalled := map[nodeStep]bool{}
+				for i := 0; i < 200 && !net.Done(); i++ {
+					if _, err := net.RunPartial(alg, 1); err != nil {
+						t.Fatal(err)
+					}
+					for id := grid.NodeID(0); int(id) < topo.N(); id++ {
+						if net.Stalled(id) {
+							stalled[nodeStep{net.Step(), id}] = true
+						}
+					}
+				}
+				for _, a := range spy.accepts {
+					if stalled[nodeStep{a.step - 1, a.node}] {
+						postStall++
+					}
+				}
+				nonEmpty += spy.nonEmpty
+				stale += spy.stale
+				downLink += spy.downLink
 			}
-		}
-		for _, a := range spy.accepts {
-			if stalled[nodeStep{a.step - 1, a.node}] {
-				postStall++
+			if nonEmpty == 0 || stale == 0 || downLink == 0 || postStall == 0 {
+				t.Fatalf("cases not exercised: nonempty %d, empty-at-(a) after an earlier schedule %d, "+
+					"failed scheduled outlink %d, just after a stall %d", nonEmpty, stale, downLink, postStall)
 			}
-		}
-		nonEmpty += spy.nonEmpty
-		stale += spy.stale
-		downLink += spy.downLink
-	}
-	if nonEmpty == 0 || stale == 0 || downLink == 0 || postStall == 0 {
-		t.Fatalf("cases not exercised: nonempty %d, empty-at-(a) after an earlier schedule %d, "+
-			"failed scheduled outlink %d, just after a stall %d", nonEmpty, stale, downLink, postStall)
+		})
 	}
 }

@@ -128,3 +128,40 @@ func TestScheduledSeedsDiffer(t *testing.T) {
 		}
 	}
 }
+
+// TestScheduledParallelEquivalence pins that the deprecated Workers field
+// is ignored: runs with Workers 2/4/8 reproduce the Workers-unset outcome
+// packet for packet.
+func TestScheduledParallelEquivalence(t *testing.T) {
+	topo := grid.NewSquareMesh(12)
+	perm := workload.Random(topo, 11)
+	outcome := func(workers int) [][3]int {
+		net := sim.MustNew(sim.Config{
+			Topo: topo, K: 2, Queues: sim.CentralQueue,
+			RequireMinimal: true, CheckInvariants: true, Workers: workers,
+		})
+		if err := perm.Place(net); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := net.Run(NewScheduled(0), 20000); err != nil {
+			t.Fatal(err)
+		}
+		var out [][3]int
+		for _, p := range net.Packets() {
+			out = append(out, [3]int{int(p.ID), p.DeliverStep, p.Hops})
+		}
+		return out
+	}
+	serial := outcome(0)
+	for _, w := range []int{2, 4, 8} {
+		got := outcome(w)
+		if len(got) != len(serial) {
+			t.Fatalf("workers=%d: %d packets != serial %d", w, len(got), len(serial))
+		}
+		for i := range got {
+			if got[i] != serial[i] {
+				t.Fatalf("workers=%d: packet %d outcome %v != serial %v", w, i, got[i], serial[i])
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"meshroute/internal/analysis"
@@ -69,11 +70,12 @@ func (a onlineXY) Accept(net *Network, n *Node, offers []Offer, acc []bool) {
 // of steps so steady-state appends never grow a column mid-measurement, and
 // warms it for 3n steps (injection equilibrium: in-flight population and
 // per-node backlog/queue capacities at their working sizes).
-func onlineStreamNet(tb testing.TB, n, steps int) *Network {
+func onlineStreamNet(tb testing.TB, n, workers, steps int) *Network {
 	net := MustNew(Config{
-		Topo:   grid.NewSquareMesh(n),
-		K:      4,
-		Queues: CentralQueue,
+		Topo:    grid.NewSquareMesh(n),
+		K:       4,
+		Queues:  CentralQueue,
+		Workers: workers,
 	})
 	warm := 3 * n
 	perStep := n*n/149 + 1
@@ -102,14 +104,14 @@ func BenchmarkStepOnline(b *testing.B) {
 	const n = 64
 	const epoch = 1024
 	b.Run("n64/w1", func(b *testing.B) {
-		net := onlineStreamNet(b, n, epoch)
+		net := onlineStreamNet(b, n, 1, epoch)
 		left := epoch
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if left == 0 {
 				b.StopTimer()
-				net = onlineStreamNet(b, n, epoch)
+				net = onlineStreamNet(b, n, 1, epoch)
 				left = epoch
 				b.StartTimer()
 			}
@@ -132,14 +134,14 @@ func BenchmarkStepOnlineAnalyzed(b *testing.B) {
 	const n = 64
 	const epoch = 1024
 	b.Run("n64/w1", func(b *testing.B) {
-		net := onlineAnalyzedNet(b, n, epoch)
+		net := onlineAnalyzedNet(b, n, 1, epoch)
 		left := epoch
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if left == 0 {
 				b.StopTimer()
-				net = onlineAnalyzedNet(b, n, epoch)
+				net = onlineAnalyzedNet(b, n, 1, epoch)
 				left = epoch
 				b.StartTimer()
 			}
@@ -154,11 +156,12 @@ func BenchmarkStepOnlineAnalyzed(b *testing.B) {
 // onlineAnalyzedNet is onlineStreamNet with a C/D accumulator installed
 // before the source attaches (the same ordering the scenario layer uses,
 // so step-0 and warm-up injections are counted).
-func onlineAnalyzedNet(tb testing.TB, n, steps int) *Network {
+func onlineAnalyzedNet(tb testing.TB, n, workers, steps int) *Network {
 	net := MustNew(Config{
-		Topo:   grid.NewSquareMesh(n),
-		K:      4,
-		Queues: CentralQueue,
+		Topo:    grid.NewSquareMesh(n),
+		K:       4,
+		Queues:  CentralQueue,
+		Workers: workers,
 	})
 	net.SetAnalyzer(analysis.NewAccumulator(net.Topo))
 	warm := 3 * n
@@ -178,17 +181,23 @@ func onlineAnalyzedNet(tb testing.TB, n, steps int) *Network {
 // TestOnlineSteadyStateStepAllocs pins the tentpole's zero-alloc
 // requirement directly: after warm-up, a steady-state engine step under
 // continuous streaming injection — source pull, admission, backlog drain
-// and all — performs zero heap allocations.
+// and all — performs zero heap allocations, with Workers unset and with
+// the deprecated (ignored) Workers field set to 4.
 func TestOnlineSteadyStateStepAllocs(t *testing.T) {
-	const runs = 10
-	net := onlineStreamNet(t, 64, runs+2)
-	avg := testing.AllocsPerRun(runs, func() {
-		if err := net.StepOnce(onlineXY{}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("steady-state online step allocates %v times, want 0", avg)
+	for _, workers := range []int{0, 4} {
+		workers := workers
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+			const runs = 10
+			net := onlineStreamNet(t, 64, workers, runs+2)
+			avg := testing.AllocsPerRun(runs, func() {
+				if err := net.StepOnce(onlineXY{}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if avg != 0 {
+				t.Fatalf("steady-state online step allocates %v times (workers=%d), want 0", avg, workers)
+			}
+		})
 	}
 }
 
@@ -197,21 +206,26 @@ func TestOnlineSteadyStateStepAllocs(t *testing.T) {
 // allocations (analysis is pay-for-play in CPU, never in allocations),
 // and that the accumulator actually accrued a result over the warm-up.
 func TestAnalyzedSteadyStateStepAllocs(t *testing.T) {
-	const runs = 10
-	net := onlineAnalyzedNet(t, 64, runs+2)
-	avg := testing.AllocsPerRun(runs, func() {
-		if err := net.StepOnce(onlineXY{}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("analyzed steady-state step allocates %v times, want 0", avg)
-	}
-	acc, ok := net.analyzer.(*analysis.Accumulator)
-	if !ok {
-		t.Fatalf("analyzer is %T, want *analysis.Accumulator", net.analyzer)
-	}
-	if r := acc.Result(); r.Congestion <= 0 || r.Dilation <= 0 {
-		t.Fatalf("accumulator accrued nothing: C=%d D=%d", r.Congestion, r.Dilation)
+	for _, workers := range []int{0, 4} {
+		workers := workers
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+			const runs = 10
+			net := onlineAnalyzedNet(t, 64, workers, runs+2)
+			avg := testing.AllocsPerRun(runs, func() {
+				if err := net.StepOnce(onlineXY{}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if avg != 0 {
+				t.Fatalf("analyzed steady-state step allocates %v times (workers=%d), want 0", avg, workers)
+			}
+			acc, ok := net.analyzer.(*analysis.Accumulator)
+			if !ok {
+				t.Fatalf("analyzer is %T, want *analysis.Accumulator", net.analyzer)
+			}
+			if r := acc.Result(); r.Congestion <= 0 || r.Dilation <= 0 {
+				t.Fatalf("accumulator accrued nothing: C=%d D=%d", r.Congestion, r.Dilation)
+			}
+		})
 	}
 }

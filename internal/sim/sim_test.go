@@ -389,13 +389,14 @@ func TestDeterminism(t *testing.T) {
 
 // buildReversal fills an n×n mesh with the reversal permutation: node i
 // sends one packet to node n²-1-i (skipping fixed points).
-func buildReversal(tb testing.TB, n, k int) *Network {
+func buildReversal(tb testing.TB, n, k, workers int) *Network {
 	tb.Helper()
 	net := MustNew(Config{
 		Topo:           grid.NewSquareMesh(n),
 		K:              k,
 		Queues:         CentralQueue,
 		RequireMinimal: true,
+		Workers:        workers,
 	})
 	total := n * n
 	for i := 0; i < total; i++ {
@@ -410,13 +411,14 @@ func buildReversal(tb testing.TB, n, k int) *Network {
 
 // buildDynamic builds a mesh with a deterministic arithmetic injection
 // pattern, exercising the backlog path.
-func buildDynamic(tb testing.TB, n, k, horizon int) *Network {
+func buildDynamic(tb testing.TB, n, k, horizon, workers int) *Network {
 	tb.Helper()
 	net := MustNew(Config{
 		Topo:           grid.NewSquareMesh(n),
 		K:              k,
 		Queues:         CentralQueue,
 		RequireMinimal: true,
+		Workers:        workers,
 	})
 	for step := 1; step <= horizon/2; step++ {
 		for id := 0; id < n*n; id++ {
@@ -434,8 +436,8 @@ func buildDynamic(tb testing.TB, n, k, horizon int) *Network {
 // ordered, not sorted) Occupied() sequence after every step.
 func TestOccupiedOrderDeterminism(t *testing.T) {
 	const n, k, steps = 10, 2, 80
-	a := buildDynamic(t, n, k, steps)
-	b := buildDynamic(t, n, k, steps)
+	a := buildDynamic(t, n, k, steps, 0)
+	b := buildDynamic(t, n, k, steps, 0)
 	sorted := true
 	for s := 0; s < steps && !(a.Done() && b.Done()); s++ {
 		if err := a.StepOnce(greedyXY{}); err != nil {
@@ -468,7 +470,7 @@ func TestOccupiedOrderDeterminism(t *testing.T) {
 // TestSteadyStateStepAllocs pins the zero-allocation hot path: after
 // warmup, a step with a nil sink and no injections must not allocate.
 func TestSteadyStateStepAllocs(t *testing.T) {
-	net := buildReversal(t, 16, 2)
+	net := buildReversal(t, 16, 2, 0)
 	alg := greedyXY{}
 	for i := 0; i < 5; i++ { // warm scratch buffers
 		if err := net.StepOnce(alg); err != nil {
